@@ -27,8 +27,8 @@ void usage(std::ostream& out) {
          "  --seed N        master seed (default 0x5eed)\n"
          "  --cases N       number of cases to run (default 200)\n"
          "  --repro FILE    replay a serialized repro case and exit\n"
-         "  --repro-dir DIR where to write fuzz-repro-<n>.case files "
-         "(default .)\n"
+         "  --repro-dir DIR where to write fuzz-repro-<seed>-<n>.case "
+         "files (default .)\n"
          "  --no-shrink     report failures without shrinking them\n"
          "  --verbose       print a line for every passing case too\n"
          "  --jobs N        worker count for the --jobs differential "

@@ -31,8 +31,11 @@ DisciplineKind discipline_from_name(const std::string& name) {
 void RoundRobinDiscipline::scan_order(const ArbRequest* /*req*/,
                                       std::uint64_t /*now*/,
                                       std::uint32_t* out) {
+  // Wrap-around count from next_: the rotation without a division per port.
+  std::uint32_t port = next_;
   for (std::uint32_t i = 0; i < ports_; ++i) {
-    out[i] = (next_ + i) % ports_;
+    out[i] = port;
+    if (++port == ports_) port = 0;
   }
 }
 

@@ -110,15 +110,16 @@ class RoundRobinDiscipline final : public ServiceDiscipline {
   [[nodiscard]] DisciplineKind kind() const override {
     return DisciplineKind::kRoundRobin;
   }
-  /// The port the scan considers `offset` places after the last grant
-  /// (exposed for the rotation unit tests).
+  /// The port the scan considers `offset` (< ports) places after the last
+  /// grant (exposed for the rotation unit tests).
   [[nodiscard]] std::uint32_t peek(std::uint32_t offset) const {
-    return (next_ + offset) % ports_;
+    const std::uint32_t port = next_ + offset;
+    return port >= ports_ ? port - ports_ : port;
   }
 
  protected:
   void on_granted(std::uint32_t port) override {
-    next_ = (port + 1) % ports_;
+    next_ = port + 1 == ports_ ? 0 : port + 1;
   }
 
  private:

@@ -14,8 +14,11 @@ Oracle bind_oracle(const HarnessOptions& opt) {
 }
 
 std::string write_repro(const HarnessOptions& opt, const FuzzCase& c) {
-  const std::string path =
-      opt.repro_dir + "/fuzz-repro-" + std::to_string(c.index) + ".case";
+  // The seed is in the name so runs sharing a repro directory never
+  // overwrite each other's files.
+  const std::string path = opt.repro_dir + "/fuzz-repro-" +
+                           std::to_string(opt.seed) + "-" +
+                           std::to_string(c.index) + ".case";
   std::ofstream out(path, std::ios::binary);
   out << c.to_text();
   if (!out) return "";  // reported as unwritable; the failure still counts

@@ -23,7 +23,7 @@ struct HarnessOptions {
   std::uint64_t seed = 0x5eed;
   std::uint64_t cases = 200;
   OracleOptions oracles;
-  /// Shrink failures and write "<repro_dir>/fuzz-repro-<index>.case".
+  /// Shrink failures and write "<repro_dir>/fuzz-repro-<seed>-<index>.case".
   bool shrink_failures = true;
   std::string repro_dir = ".";
   /// Report each clean case as a line too (default: failures + summary only).

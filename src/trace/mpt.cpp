@@ -96,9 +96,9 @@ MptStream compact(TraceSource& source) {
   return stream;
 }
 
-bool MptExpander::next(Event& out) {
-  while (true) {
-    if (exec_pos_ >= stream_->executions.size()) return false;
+bool MptExpander::refill() {
+  std::size_t n = 0;
+  while (n < kBlockEvents && exec_pos_ < stream_->executions.size()) {
     const MptExecution& ex = stream_->executions[exec_pos_];
     const MptBlock& block = stream_->dictionary[ex.block_id];
     if (slot_pos_ >= block.slots.size()) {
@@ -107,6 +107,7 @@ bool MptExpander::next(Event& out) {
       continue;
     }
     const MptSlot& slot = block.slots[slot_pos_++];
+    Event& out = block_[n++];
     out.op = slot.op;
     out.gap = slot.gap;
     if (slot.op == Op::kIFetch) {
@@ -115,11 +116,13 @@ bool MptExpander::next(Event& out) {
       SYNCPAT_ASSERT(dyn_pos_ < stream_->dynamic_addrs.size());
       out.addr = stream_->dynamic_addrs[dyn_pos_++];
     }
-    return true;
   }
+  set_block(block_.data(), block_.data() + n);
+  return n > 0;
 }
 
 void MptExpander::reset() {
+  set_block(nullptr, nullptr);
   exec_pos_ = 0;
   slot_pos_ = 0;
   dyn_pos_ = 0;

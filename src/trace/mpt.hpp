@@ -18,6 +18,7 @@
 // tests assert round-trip identity.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -64,16 +65,22 @@ struct MptStream {
 /// Compacts a full event stream.  The source is drained.
 [[nodiscard]] MptStream compact(TraceSource& source);
 
-/// Streaming expander: replays an MptStream as a TraceSource.
+/// Streaming expander: replays an MptStream as a TraceSource, expanding a
+/// small block of events per refill.
 class MptExpander final : public TraceSource {
  public:
   explicit MptExpander(const MptStream& stream) : stream_(&stream) {}
 
-  bool next(Event& out) override;
   void reset() override;
 
+ protected:
+  bool refill() override;
+
  private:
+  static constexpr std::size_t kBlockEvents = 64;
+
   const MptStream* stream_;
+  std::array<Event, kBlockEvents> block_{};
   std::size_t exec_pos_ = 0;
   std::size_t slot_pos_ = 0;
   std::size_t dyn_pos_ = 0;

@@ -80,13 +80,27 @@ class Rng {
                     below(static_cast<std::uint64_t>(hi - lo) + 1));
   }
 
+  /// The 53 bits a uniform() draw quantizes: uniform() == next_u53() * 2^-53.
+  std::uint64_t next_u53() { return next_u64() >> 11; }
+
   /// Uniform double in [0, 1).
-  double uniform() {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-  }
+  double uniform() { return static_cast<double>(next_u53()) * 0x1.0p-53; }
 
   /// Bernoulli trial.
   bool chance(double p) { return uniform() < p; }
+
+  /// Integer form of chance(p), for a p fixed across many draws:
+  /// chance_below(chance_threshold(p)) returns what chance(p) returns, draw
+  /// for draw.  chance(p) tests n * 2^-53 < p for the 53-bit draw n; both
+  /// sides are exact (scaling by 2^53 rounds nothing), so for an integer n
+  /// it holds exactly when n < ceil(p * 2^53).  p <= 0 and NaN never hit,
+  /// p >= 1 always does.
+  static std::uint64_t chance_threshold(double p) {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return 1ull << 53;
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+  }
+  bool chance_below(std::uint64_t threshold) { return next_u53() < threshold; }
 
   /// Geometric number of failures before success; mean = (1-p)/p.
   std::uint64_t geometric(double p) {
@@ -149,10 +163,11 @@ class Rng {
 /// floor(log1p(-u) / log1m_p), which is a monotone non-decreasing step
 /// function of the 53-bit integer n = next_u64() >> 11.  The constructor
 /// binary-searches the exact n at which the result steps from k to k+1 for
-/// the first kTable values, so a draw is one next_u64() plus a short integer
-/// scan.  Draws that land past the table (probability (1-p)^kTable) fall
-/// back to the original formula on the same n, so every draw consumes
-/// exactly one next_u64() and yields exactly the value the formula would.
+/// the first kTable values, so a draw is one next_u64() plus a fixed-depth
+/// branchless search of those boundaries.  Draws that land past the table
+/// (probability (1-p)^kTable) fall back to the original formula on the same
+/// n, so every draw consumes exactly one next_u64() and yields exactly the
+/// value the formula would.
 ///
 /// When p is so small that most draws would overrun the table (mean gap
 /// beyond ~tens of cycles), the table is skipped entirely and every draw
@@ -184,18 +199,33 @@ class GeometricSampler {
   }
 
   /// One geometric draw; consumes exactly one next_u64().
-  std::uint64_t draw(Rng& rng) {
-    const std::uint64_t n = rng.next_u64() >> 11;
+  std::uint64_t draw(Rng& rng) const { return at(rng.next_u53()); }
+
+  /// The draw for the 53-bit integer n.
+  [[nodiscard]] std::uint64_t at(std::uint64_t n) const {
     if (use_table_) {
+      // k = number of boundaries <= n (bound_ is non-decreasing).  The
+      // halving steps count it over bound_[0, kTable-1) without a
+      // data-dependent branch; the last compare settles bound_[kTable-1].
       std::uint32_t k = 0;
-      while (k < kTable && n >= bound_[k]) ++k;
+      for (std::uint32_t step = kTable / 2; step > 0; step /= 2) {
+        k += bound_[k + step - 1] <= n ? step : 0;
+      }
+      k += bound_[k] <= n ? 1 : 0;
       if (k < kTable) return k;
     }
     return value(n);
   }
 
+  /// The table's step boundaries: bounds()[k] is the smallest n whose draw
+  /// exceeds k.  Empty when the sampler draws every value by the formula.
+  [[nodiscard]] std::span<const std::uint64_t> bounds() const {
+    return use_table_ ? std::span<const std::uint64_t>(bound_)
+                      : std::span<const std::uint64_t>();
+  }
+
  private:
-  static constexpr std::uint32_t kTable = 32;
+  static constexpr std::uint32_t kTable = 32;  // a power of two (see at())
   static constexpr double kLnHalf = -0.6931471805599453;
 
   /// The reference mapping — the identical expression geometric_from_log

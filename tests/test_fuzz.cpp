@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +20,15 @@
 
 namespace syncpat::fuzz {
 namespace {
+
+// A fresh repro directory per test under gtest's TempDir(), which ctest -j
+// shares between concurrently running test processes.
+std::string own_repro_dir(const std::string& test) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("syncpat-fuzz-" + test);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
 
 // Deterministic synthetic failure with a known minimal shape: any case with
 // at least 2 processors and at least 400 references "fails".
@@ -157,7 +167,7 @@ TEST(FuzzHarness, ReportIsByteIdenticalAcrossRuns) {
   HarnessOptions opt;
   opt.seed = 0x1de7;
   opt.cases = 30;
-  opt.repro_dir = ::testing::TempDir();
+  opt.repro_dir = own_repro_dir("report-identical");
   opt.injected_oracle = synthetic_oracle;
   std::ostringstream a, b;
   const HarnessReport ra = run_fuzz(opt, a);
@@ -170,7 +180,7 @@ TEST(FuzzHarness, WritesReproThatReplaysToSameVerdict) {
   HarnessOptions opt;
   opt.seed = 0xfa11;
   opt.cases = 10;
-  opt.repro_dir = ::testing::TempDir();
+  opt.repro_dir = own_repro_dir("repro-replays");
   opt.injected_oracle = synthetic_oracle;
 
   std::ostringstream report_out;
@@ -195,7 +205,7 @@ TEST(FuzzHarness, WritesReproThatReplaysToSameVerdict) {
     c.num_procs = 1;
     return c;
   }();
-  const std::string clean_path = ::testing::TempDir() + "/fuzz_clean.case";
+  const std::string clean_path = opt.repro_dir + "/fuzz_clean.case";
   std::ofstream(clean_path) << clean.to_text();
   std::ostringstream pass_out;
   EXPECT_EQ(replay_repro(clean_path, opt, pass_out), 0);

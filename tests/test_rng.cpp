@@ -184,5 +184,98 @@ TEST_P(RngUniformity, BelowIsRoughlyUniform) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RngUniformity,
                          ::testing::Values(1, 2, 42, 0xdeadbeef, 99999));
 
+// GeometricSampler must equal Rng::geometric_from_log draw for draw: the
+// workload generator draws every gap through it, and the pinned streams
+// depend on each value and on one next_u64() per draw.
+
+/// geometric_from_log's expression for the 53-bit integer n.
+std::uint64_t geometric_reference(std::uint64_t n, double log1m_p) {
+  const double u = static_cast<double>(n) * 0x1.0p-53;
+  return static_cast<std::uint64_t>(std::log1p(-u) / log1m_p);
+}
+
+// Mean gaps of the paper profiles, a few more, and 400 work cycles per
+// reference, where the sampler skips its table and draws by the formula.
+constexpr std::array<double, 7> kMeanGaps = {1.5, 2.03, 2.38, 3.97, 8.0, 20.0,
+                                             400.0};
+
+TEST(GeometricSampler, DrawEqualsGeometricFromLogOnTheSameSeed) {
+  for (const double mean : kMeanGaps) {
+    const double log1m_p = std::log1p(-1.0 / mean);
+    const GeometricSampler sampler(log1m_p);
+    EXPECT_EQ(sampler.bounds().empty(), mean == 400.0) << "mean " << mean;
+    Rng a(0x9e0 + static_cast<std::uint64_t>(mean * 100));
+    Rng b = a;
+    for (int i = 0; i < 1'000'000; ++i) {
+      ASSERT_EQ(sampler.draw(a), b.geometric_from_log(log1m_p))
+          << "mean " << mean << ", draw " << i;
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "one next_u64() per draw";
+  }
+}
+
+TEST(GeometricSampler, EveryTableEdgeMatchesTheFormula) {
+  for (const double mean : kMeanGaps) {
+    const double log1m_p = std::log1p(-1.0 / mean);
+    const GeometricSampler sampler(log1m_p);
+    const auto bounds = sampler.bounds();
+    for (std::size_t k = 0; k < bounds.size(); ++k) {
+      const std::uint64_t edge = bounds[k];
+      if (edge >= (1ull << 53)) break;  // sentinel: no n reaches k+1
+      ASSERT_GT(edge, 0u);
+      EXPECT_EQ(sampler.at(edge - 1), geometric_reference(edge - 1, log1m_p))
+          << "mean " << mean << ", bound " << k << " - 1";
+      EXPECT_EQ(sampler.at(edge), geometric_reference(edge, log1m_p))
+          << "mean " << mean << ", bound " << k;
+      EXPECT_LE(sampler.at(edge - 1), k);
+      EXPECT_GT(sampler.at(edge), k);
+    }
+    // Past the table the formula answers.
+    const std::uint64_t top = (1ull << 53) - 1;
+    EXPECT_EQ(sampler.at(top), geometric_reference(top, log1m_p));
+    EXPECT_EQ(sampler.at(0), 0u);
+  }
+}
+
+// chance_below(chance_threshold(p)) is chance(p) as an integer compare.
+TEST(Rng, ChanceThresholdIsExact) {
+  constexpr double kUlp = 0x1.0p-53;
+  EXPECT_EQ(Rng::chance_threshold(0.0), 0u);
+  EXPECT_EQ(Rng::chance_threshold(-0.5), 0u);
+  EXPECT_EQ(Rng::chance_threshold(std::numeric_limits<double>::quiet_NaN()),
+            0u);
+  EXPECT_EQ(Rng::chance_threshold(1.0), 1ull << 53);
+  EXPECT_EQ(Rng::chance_threshold(1.5), 1ull << 53);
+  for (const std::uint64_t k :
+       {1ull, 2ull, 3ull, 1ull << 20, 1ull << 52, (1ull << 53) - 1}) {
+    const double p = static_cast<double>(k) * kUlp;
+    // n * 2^-53 < k * 2^-53 exactly when n < k ...
+    EXPECT_EQ(Rng::chance_threshold(p), k) << "k " << k;
+    // ... and the next double above p admits n = k too.
+    EXPECT_EQ(Rng::chance_threshold(std::nextafter(p, 1.0)), k + 1)
+        << "k " << k;
+  }
+  // The predicate itself, on either side of each threshold.
+  for (const double p : {kUlp, 3 * kUlp, 1.0 / 64.0, 0.3, 0.35, 1.0 - kUlp}) {
+    const std::uint64_t t = Rng::chance_threshold(p);
+    for (const std::uint64_t n : {t - 1, t, t + 1}) {
+      if (n >= (1ull << 53)) continue;
+      EXPECT_EQ(n < t, static_cast<double>(n) * kUlp < p) << "p " << p;
+    }
+  }
+}
+
+TEST(Rng, ChanceBelowMatchesChanceDrawForDraw) {
+  constexpr double kUlp = 0x1.0p-53;
+  for (const double p : {0.0, 1.0, kUlp, 7 * kUlp, 1.0 / 64.0, 0.35, 0.8,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    const std::uint64_t t = Rng::chance_threshold(p);
+    Rng a(0xc4a), b(0xc4a);
+    for (int i = 0; i < 20'000; ++i) {
+      ASSERT_EQ(a.chance_below(t), b.chance(p)) << "p " << p << ", draw " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace syncpat::util
