@@ -1,10 +1,10 @@
 #include "obs/chrome_trace.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include <string_view>
 
 #include "bus/transaction.hpp"
 #include "cache/cache.hpp"
+#include "obs/json_out.hpp"
 #include "trace/address_map.hpp"
 
 namespace syncpat::obs {
@@ -18,62 +18,47 @@ constexpr int kPidLocks = 2;
 constexpr int kPidBus = 3;
 constexpr int kPidMachine = 4;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // control chars
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// "lock N" for addresses in the lock region, hex otherwise.
-std::string lock_label(std::uint32_t line) {
-  char buf[32];
+void lock_label(JsonOut& w, std::uint32_t line) {
   if (trace::AddressMap::classify(line) == trace::Region::kLock &&
       line < trace::AddressMap::lock_addr(1u << 20)) {
-    std::snprintf(buf, sizeof buf, "lock %u", trace::AddressMap::lock_id(line));
+    w.lit("lock ").num(trace::AddressMap::lock_id(line));
   } else {
-    std::snprintf(buf, sizeof buf, "0x%08x", line);
+    w.hex32(line);
   }
-  return buf;
 }
 
-std::string complete_span(const char* name, const char* cat, int pid,
-                          std::uint64_t tid, std::uint64_t ts,
-                          std::uint64_t dur, const std::string& args) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%" PRIu64
-                ",\"dur\":%" PRIu64 ",\"pid\":%d,\"tid\":%" PRIu64
-                ",\"args\":{%s}}",
-                name, cat, ts, dur, pid, tid, args.c_str());
-  return buf;
+// A body record is ChromeTraceSink::record()'s `,\n{"name":"`, the name, and
+// one of the tails below.  The span and instant tails leave the args object
+// open for the caller's fields; every record then ends with "}}".
+
+void span_tail(JsonOut& w, std::string_view cat, int pid, std::uint64_t tid,
+               std::uint64_t ts, std::uint64_t dur) {
+  w.lit("\",\"cat\":\"").lit(cat).lit("\",\"ph\":\"X\",\"ts\":").num(ts);
+  w.lit(",\"dur\":").num(dur).lit(",\"pid\":").num(pid);
+  w.lit(",\"tid\":").num(tid).lit(",\"args\":{");
 }
 
-std::string instant(const char* name, const char* cat, int pid,
-                    std::uint64_t tid, std::uint64_t ts,
-                    const std::string& args) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\","
-                "\"ts\":%" PRIu64 ",\"pid\":%d,\"tid\":%" PRIu64
-                ",\"args\":{%s}}",
-                name, cat, ts, pid, tid, args.c_str());
-  return buf;
+void instant_tail(JsonOut& w, std::string_view cat, int pid, std::uint64_t tid,
+                  std::uint64_t ts) {
+  w.lit("\",\"cat\":\"").lit(cat).lit("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
+  w.num(ts).lit(",\"pid\":").num(pid).lit(",\"tid\":").num(tid);
+  w.lit(",\"args\":{");
 }
 
-std::string counter_sample(const char* name, const char* cat, int pid,
-                           std::uint64_t ts, const char* key,
-                           std::uint64_t value) {
-  char buf[224];
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"C\",\"ts\":%" PRIu64
-                ",\"pid\":%d,\"args\":{\"%s\":%" PRIu64 "}}",
-                name, cat, ts, pid, key, value);
-  return buf;
+void counter_tail(JsonOut& w, std::string_view cat, int pid, std::uint64_t ts,
+                  std::string_view key, std::uint64_t value) {
+  w.lit("\",\"cat\":\"").lit(cat).lit("\",\"ph\":\"C\",\"ts\":").num(ts);
+  w.lit(",\"pid\":").num(pid).lit(",\"args\":{\"").lit(key).lit("\":");
+  w.num(value).lit("}}");
+}
+
+void line_arg(JsonOut& w, std::uint32_t line) {
+  w.lit("\"line\":\"").hex32(line).lit("\"");
+}
+
+std::uint64_t proc_tid(std::int32_t proc) {
+  return static_cast<std::uint64_t>(proc);
 }
 
 }  // namespace
@@ -84,52 +69,59 @@ ChromeTraceSink::ChromeTraceSink(std::string process_label,
       num_procs_(num_procs),
       bus_gauge_(MetricsConfig{}.bus_window_cycles) {}
 
-void ChromeTraceSink::append_event(const std::string& json_object) {
-  if (!body_.empty()) body_ += ",\n";
-  body_ += json_object;
+JsonOut& ChromeTraceSink::record() {
+  // A chunk is closed once it passes kChunkBytes; the slack covers the
+  // record that crosses the mark, so no chunk ever regrows.
+  constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+  constexpr std::size_t kChunkSlack = 4096;
+  if (body_.empty() || body_.back().size() >= kChunkBytes) {
+    body_.emplace_back().reserve(kChunkBytes + kChunkSlack);
+  }
+  return body_.back().lit(",\n{\"name\":\"");
 }
 
 void ChromeTraceSink::close_hold(std::uint32_t line, std::uint64_t now) {
   const auto it = hold_open_.find(line);
   if (it == hold_open_.end()) return;
-  char name[48];
-  std::snprintf(name, sizeof name, "held by p%d", it->second.proc);
-  char args[48];
-  std::snprintf(args, sizeof args, "\"proc\":%d", it->second.proc);
-  append_event(complete_span(name, "locks", kPidLocks, line, it->second.since,
-                             now - it->second.since, args));
+  const OpenHold& hold = it->second;
+  JsonOut& w = record();
+  w.lit("held by p").num(hold.proc);
+  span_tail(w, "locks", kPidLocks, line, hold.since, now - hold.since);
+  w.lit("\"proc\":").num(hold.proc).lit("}}");
   hold_open_.erase(it);
 }
 
 void ChromeTraceSink::on_event(const TraceEvent& ev) {
-  char name[64];
-  char args[96];
   if (ev.cycle > last_cycle_) last_cycle_ = ev.cycle;
   switch (ev.kind) {
-    case EventKind::kAcquireBegin:
+    case EventKind::kAcquireBegin: {
       wait_open_[ev.proc] = ev.cycle;
       locks_seen_.insert(ev.line);
-      std::snprintf(name, sizeof name, "waiters %s", lock_label(ev.line).c_str());
-      append_event(counter_sample(name, "locks", kPidLocks, ev.cycle, "waiters",
-                                  ++waiters_live_[ev.line]));
+      JsonOut& w = record();
+      w.lit("waiters ");
+      lock_label(w, ev.line);
+      counter_tail(w, "locks", kPidLocks, ev.cycle, "waiters",
+                   ++waiters_live_[ev.line]);
       break;
+    }
     case EventKind::kAcquired: {
       locks_seen_.insert(ev.line);
       if (const auto it = wait_open_.find(ev.proc); it != wait_open_.end()) {
-        std::snprintf(name, sizeof name, "wait %s",
-                      lock_label(ev.line).c_str());
-        std::snprintf(args, sizeof args, "\"line\":\"0x%08x\"", ev.line);
-        append_event(complete_span(name, "locks", kPidProcs,
-                                   static_cast<std::uint64_t>(ev.proc),
-                                   it->second, ev.cycle - it->second, args));
+        JsonOut& w = record();
+        w.lit("wait ");
+        lock_label(w, ev.line);
+        span_tail(w, "locks", kPidProcs, proc_tid(ev.proc), it->second,
+                  ev.cycle - it->second);
+        line_arg(w, ev.line);
+        w.lit("}}");
         wait_open_.erase(it);
       }
       hold_open_[ev.line] = OpenHold{ev.cycle, ev.proc};
-      if (std::uint64_t& w = waiters_live_[ev.line]; w > 0) {
-        std::snprintf(name, sizeof name, "waiters %s",
-                      lock_label(ev.line).c_str());
-        append_event(
-            counter_sample(name, "locks", kPidLocks, ev.cycle, "waiters", --w));
+      if (std::uint64_t& waiters = waiters_live_[ev.line]; waiters > 0) {
+        JsonOut& w = record();
+        w.lit("waiters ");
+        lock_label(w, ev.line);
+        counter_tail(w, "locks", kPidLocks, ev.cycle, "waiters", --waiters);
       }
       break;
     }
@@ -138,143 +130,145 @@ void ChromeTraceSink::on_event(const TraceEvent& ev) {
       locks_seen_.insert(ev.line);
       close_hold(ev.line, ev.cycle);
       break;
-    case EventKind::kHandoff:
+    case EventKind::kHandoff: {
       locks_seen_.insert(ev.line);
       close_hold(ev.line, ev.cycle);
-      std::snprintf(args, sizeof args, "\"waiters_left\":%llu",
-                    static_cast<unsigned long long>(ev.a));
-      append_event(
-          instant("handoff", "locks", kPidLocks, ev.line, ev.cycle, args));
+      JsonOut& w = record();
+      w.lit("handoff");
+      instant_tail(w, "locks", kPidLocks, ev.line, ev.cycle);
+      w.lit("\"waiters_left\":").num(ev.a).lit("}}");
       break;
-    case EventKind::kTransferDone:
+    }
+    case EventKind::kTransferDone: {
       locks_seen_.insert(ev.line);
-      append_event(complete_span("transfer", "locks", kPidLocks, ev.line,
-                                 ev.cycle - ev.b, ev.b, ""));
+      JsonOut& w = record();
+      w.lit("transfer");
+      span_tail(w, "locks", kPidLocks, ev.line, ev.cycle - ev.b, ev.b);
+      w.lit("}}");
       break;
-    case EventKind::kSpinInvalidated:
-      std::snprintf(args, sizeof args, "\"line\":\"0x%08x\"", ev.line);
-      append_event(instant("spin invalidated", "locks", kPidProcs,
-                           static_cast<std::uint64_t>(ev.proc), ev.cycle,
-                           args));
+    }
+    case EventKind::kSpinInvalidated: {
+      JsonOut& w = record();
+      w.lit("spin invalidated");
+      instant_tail(w, "locks", kPidProcs, proc_tid(ev.proc), ev.cycle);
+      line_arg(w, ev.line);
+      w.lit("}}");
       break;
+    }
     case EventKind::kBusGrant: {
       bus_gauge_.add(ev.cycle, ev.b);
       if (ev.cycle + ev.b > last_cycle_) last_cycle_ = ev.cycle + ev.b;
-      const auto kind = static_cast<bus::TxnKind>(ev.a & 0xff);
-      std::snprintf(name, sizeof name, "%s%s", bus::txn_kind_name(kind),
-                    (ev.a & 0x100) != 0 ? " resp" : "");
-      std::snprintf(args, sizeof args, "\"proc\":%d,\"line\":\"0x%08x\"",
-                    ev.proc, ev.line);
-      append_event(
-          complete_span(name, "bus", kPidBus, 0, ev.cycle, ev.b, args));
+      JsonOut& w = record();
+      w.lit(bus::txn_kind_name(static_cast<bus::TxnKind>(ev.a & 0xff)));
+      if ((ev.a & 0x100) != 0) w.lit(" resp");
+      span_tail(w, "bus", kPidBus, 0, ev.cycle, ev.b);
+      w.lit("\"proc\":").num(ev.proc).lit(",");
+      line_arg(w, ev.line);
+      w.lit("}}");
       break;
     }
-    case EventKind::kBusComplete:
-      std::snprintf(name, sizeof name, "%s 0x%08x",
-                    bus::txn_kind_name(static_cast<bus::TxnKind>(ev.b)),
-                    ev.line);
-      std::snprintf(args, sizeof args, "\"line\":\"0x%08x\"", ev.line);
-      append_event(complete_span(name, "bus", kPidProcs,
-                                 static_cast<std::uint64_t>(ev.proc),
-                                 ev.cycle - ev.a, ev.a, args));
+    case EventKind::kBusComplete: {
+      JsonOut& w = record();
+      w.lit(bus::txn_kind_name(static_cast<bus::TxnKind>(ev.b))).lit(" ");
+      w.hex32(ev.line);
+      span_tail(w, "bus", kPidProcs, proc_tid(ev.proc), ev.cycle - ev.a, ev.a);
+      line_arg(w, ev.line);
+      w.lit("}}");
       break;
-    case EventKind::kMesiTransition:
-      std::snprintf(
-          name, sizeof name, "%s->%s",
-          cache::state_name(static_cast<cache::LineState>(ev.a)),
-          cache::state_name(static_cast<cache::LineState>(ev.b)));
-      std::snprintf(args, sizeof args, "\"line\":\"0x%08x\"", ev.line);
-      append_event(instant(name, "coherence", kPidProcs,
-                           static_cast<std::uint64_t>(ev.proc), ev.cycle,
-                           args));
+    }
+    case EventKind::kMesiTransition: {
+      JsonOut& w = record();
+      w.lit(cache::state_name(static_cast<cache::LineState>(ev.a))).lit("->");
+      w.lit(cache::state_name(static_cast<cache::LineState>(ev.b)));
+      instant_tail(w, "coherence", kPidProcs, proc_tid(ev.proc), ev.cycle);
+      line_arg(w, ev.line);
+      w.lit("}}");
       break;
-    case EventKind::kBarrierArrive:
-      std::snprintf(name, sizeof name, "barrier arrive p%d", ev.proc);
-      std::snprintf(args, sizeof args,
-                    "\"line\":\"0x%08x\",\"already_waiting\":%llu", ev.line,
-                    static_cast<unsigned long long>(ev.a));
-      append_event(
-          instant(name, "barriers", kPidMachine, 0, ev.cycle, args));
+    }
+    case EventKind::kBarrierArrive: {
+      JsonOut& w = record();
+      w.lit("barrier arrive p").num(ev.proc);
+      instant_tail(w, "barriers", kPidMachine, 0, ev.cycle);
+      line_arg(w, ev.line);
+      w.lit(",\"already_waiting\":").num(ev.a).lit("}}");
       break;
-    case EventKind::kBarrierRelease:
-      std::snprintf(args, sizeof args,
-                    "\"line\":\"0x%08x\",\"released\":%llu", ev.line,
-                    static_cast<unsigned long long>(ev.a));
-      append_event(instant("barrier release", "barriers", kPidMachine, 0,
-                           ev.cycle, args));
+    }
+    case EventKind::kBarrierRelease: {
+      JsonOut& w = record();
+      w.lit("barrier release");
+      instant_tail(w, "barriers", kPidMachine, 0, ev.cycle);
+      line_arg(w, ev.line);
+      w.lit(",\"released\":").num(ev.a).lit("}}");
       break;
-    case EventKind::kIdleSpan:
-      std::snprintf(args, sizeof args, "\"executed_ticks\":%llu",
-                    static_cast<unsigned long long>(ev.b));
-      append_event(complete_span("quiescent", "idle", kPidMachine, 0, ev.cycle,
-                                 ev.a, args));
+    }
+    case EventKind::kIdleSpan: {
+      JsonOut& w = record();
+      w.lit("quiescent");
+      span_tail(w, "idle", kPidMachine, 0, ev.cycle, ev.a);
+      w.lit("\"executed_ticks\":").num(ev.b).lit("}}");
       break;
+    }
   }
 }
 
 std::string ChromeTraceSink::finish() const {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  const std::string label = json_escape(process_label_);
-  char buf[256];
+  // The per-track metadata (head) and the bus-busy counter series (tail) are
+  // small; the body is the bulk of the document, so it is copied exactly
+  // once, into a string reserved at the document's final size.
+  JsonOut h;
+  h.lit("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
   const struct {
     int pid;
-    const char* suffix;
+    std::string_view suffix;
   } kProcesses[] = {{kPidProcs, "processors"},
                     {kPidLocks, "locks"},
                     {kPidBus, "bus"},
                     {kPidMachine, "machine"}};
   for (const auto& p : kProcesses) {
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"args\":{\"name\":\"%s %s\"}},\n",
-                  p.pid, label.c_str(), p.suffix);
-    out += buf;
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"args\":{\"sort_index\":%d}},\n",
-                  p.pid, p.pid);
-    out += buf;
+    h.lit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":").num(p.pid);
+    h.lit(",\"args\":{\"name\":\"");
+    json_escape(h, process_label_);
+    h.ch(' ').lit(p.suffix).lit("\"}},\n");
+    h.lit("{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":").num(p.pid);
+    h.lit(",\"args\":{\"sort_index\":").num(p.pid).lit("}},\n");
   }
   for (std::uint32_t p = 0; p < num_procs_; ++p) {
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"tid\":%u,\"args\":{\"name\":\"proc %u\"}},\n",
-                  kPidProcs, p, p);
-    out += buf;
+    h.lit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":").num(kPidProcs);
+    h.lit(",\"tid\":").num(p).lit(",\"args\":{\"name\":\"proc ").num(p);
+    h.lit("\"}},\n");
   }
   for (const std::uint32_t line : locks_seen_) {
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"tid\":%u,\"args\":{\"name\":\"%s\"}},\n",
-                  kPidLocks, line, lock_label(line).c_str());
-    out += buf;
+    h.lit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":").num(kPidLocks);
+    h.lit(",\"tid\":").num(line).lit(",\"args\":{\"name\":\"");
+    lock_label(h, line);
+    h.lit("\"}},\n");
   }
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,"
-                "\"args\":{\"name\":\"bus\"}},\n",
-                kPidBus);
-  out += buf;
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,"
-                "\"args\":{\"name\":\"machine\"}}",
-                kPidMachine);
-  out += buf;
-  if (!body_.empty()) {
-    out += ",\n";
-    out += body_;
-  }
+  h.lit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":").num(kPidBus);
+  h.lit(",\"tid\":0,\"args\":{\"name\":\"bus\"}},\n");
+  h.lit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":").num(kPidMachine);
+  h.lit(",\"tid\":0,\"args\":{\"name\":\"machine\"}}");
+
   // Bus-busy counter series: one sample per gauge window, stamped at the
   // window's start cycle.  The gauge is copied so finish() stays const and
   // repeatable; finalize() clips the final tenure at the last event cycle.
+  JsonOut t;
   BusWindowGauge gauge = bus_gauge_;
   gauge.finalize(last_cycle_);
   for (std::size_t i = 0; i < gauge.windows().size(); ++i) {
-    out += ",\n";
-    out += counter_sample("bus busy cycles", "bus", kPidBus,
-                          static_cast<std::uint64_t>(i) * gauge.window_cycles(),
-                          "busy", gauge.windows()[i]);
+    t.lit(",\n{\"name\":\"bus busy cycles");
+    counter_tail(t, "bus", kPidBus,
+                 static_cast<std::uint64_t>(i) * gauge.window_cycles(), "busy",
+                 gauge.windows()[i]);
   }
-  out += "\n]}\n";
+  t.lit("\n]}\n");
+
+  std::size_t bytes = h.size() + t.size();
+  for (const JsonOut& chunk : body_) bytes += chunk.size();
+  std::string out;
+  out.reserve(bytes);
+  out += h.view();
+  for (const JsonOut& chunk : body_) out += chunk.view();
+  out += t.view();
   return out;
 }
 

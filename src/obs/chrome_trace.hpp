@@ -15,8 +15,10 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "obs/event_recorder.hpp"
+#include "obs/json_out.hpp"
 #include "obs/metrics.hpp"
 
 namespace syncpat::obs {
@@ -39,12 +41,16 @@ class ChromeTraceSink final : public TraceSink {
     std::int32_t proc = -1;
   };
 
-  void append_event(const std::string& json_object);
+  /// Starts the next body record, `,\n{"name":"`, and returns the chunk
+  /// it is written into.
+  JsonOut& record();
   void close_hold(std::uint32_t line, std::uint64_t now);
 
   std::string process_label_;
   std::uint32_t num_procs_;
-  std::string body_;  // comma-joined event objects, simulation order
+  // The event objects in simulation order, each prefixed with ",\n", kept in
+  // chunks of about 1 MiB so the body is never copied while it grows.
+  std::vector<JsonOut> body_;
   std::set<std::uint32_t> locks_seen_;
   std::map<std::int32_t, std::uint64_t> wait_open_;  // proc -> acquire begin
   std::map<std::uint32_t, OpenHold> hold_open_;      // lock -> owner + since

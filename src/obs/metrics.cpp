@@ -1,12 +1,11 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <string_view>
 
+#include "obs/json_out.hpp"
 #include "util/assert.hpp"
 #include "util/parse.hpp"
 
@@ -14,59 +13,38 @@ namespace syncpat::obs {
 
 namespace {
 
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  out += buf;
-}
-
 /// Histogram as JSON: count, sum, and the non-empty log2 buckets as
 /// [bucket_index, count] pairs (bucket_lo(i) recovers the value range).
-void append_histogram_json(std::string& out, const util::Histogram& h) {
-  appendf(out, "{\"count\":%" PRIu64 ",\"sum\":%" PRIu64 ",\"buckets\":[",
-          h.count(), h.sum());
+void append_histogram_json(JsonOut& w, const util::Histogram& h) {
+  w.lit("{\"count\":").num(h.count()).lit(",\"sum\":").num(h.sum());
+  w.lit(",\"buckets\":[");
   bool first = true;
   for (std::size_t i = 0; i < util::Histogram::kBuckets; ++i) {
     if (h.bucket_count(i) == 0) continue;
-    appendf(out, "%s[%zu,%" PRIu64 "]", first ? "" : ",", i, h.bucket_count(i));
+    w.lit(first ? "[" : ",[").num(i).lit(",").num(h.bucket_count(i)).lit("]");
     first = false;
   }
-  out += "]}";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;
-    out.push_back(c);
-  }
-  return out;
+  w.lit("]}");
 }
 
 /// CSV cell-safe: the exported labels are program/scheme names (no commas or
 /// quotes in practice), but scrub separators anyway so a row stays a row.
-std::string csv_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    out.push_back(c == ',' || c == '\n' || c == '\r' ? ' ' : c);
-  }
-  return out;
+void csv_escape(JsonOut& out, std::string_view s) {
+  for (const char c : s) out.ch(c == ',' || c == '\n' || c == '\r' ? ' ' : c);
 }
 
-void append_histogram_csv(std::string& out, const std::string& record,
-                          const char* name, const util::Histogram& h) {
-  appendf(out, "%s,%s.count,%" PRIu64 "\n", record.c_str(), name, h.count());
-  appendf(out, "%s,%s.sum,%" PRIu64 "\n", record.c_str(), name, h.sum());
+/// The `lock.0x<line>,<name>.count|.sum|.bucketN,<value>` rows of one
+/// per-lock histogram.
+void append_histogram_csv(JsonOut& w, std::uint32_t lock_line,
+                          std::string_view name, const util::Histogram& h) {
+  const auto row = [&](std::string_view field) -> JsonOut& {
+    return w.lit("lock.").hex32(lock_line).lit(",").lit(name).lit(field);
+  };
+  row(".count,").num(h.count()).lit("\n");
+  row(".sum,").num(h.sum()).lit("\n");
   for (std::size_t i = 0; i < util::Histogram::kBuckets; ++i) {
     if (h.bucket_count(i) == 0) continue;
-    appendf(out, "%s,%s.bucket%zu,%" PRIu64 "\n", record.c_str(), name, i,
-            h.bucket_count(i));
+    row(".bucket").num(i).lit(",").num(h.bucket_count(i)).lit("\n");
   }
 }
 
@@ -144,115 +122,121 @@ MetricsFormat metrics_format_from_path(const std::string& path) {
 }
 
 std::string metrics_to_json(const MetricsRegistry& m, const MetricsMeta& meta) {
-  std::string out;
-  out.reserve(4096);
-  appendf(out,
-          "{\n\"program\":\"%s\",\"scheme\":\"%s\",\"consistency\":\"%s\","
-          "\"num_procs\":%u,\"run_time\":%" PRIu64 ",\n",
-          json_escape(meta.program).c_str(), json_escape(meta.scheme).c_str(),
-          json_escape(meta.consistency).c_str(), meta.num_procs,
-          meta.run_time);
+  JsonOut w;
+  w.lit("{\n\"program\":\"");
+  json_escape(w, meta.program);
+  w.lit("\",\"scheme\":\"");
+  json_escape(w, meta.scheme);
+  w.lit("\",\"consistency\":\"");
+  json_escape(w, meta.consistency);
+  w.lit("\",\"num_procs\":").num(meta.num_procs);
+  w.lit(",\"run_time\":").num(meta.run_time).lit(",\n");
 
-  out += "\"stall_attribution\":[\n";
+  w.lit("\"stall_attribution\":[\n");
   ProcAttribution totals;
   for (std::uint32_t p = 0; p < m.num_procs(); ++p) {
     const ProcAttribution& a = m.proc(p).attr;
-    appendf(out, "%s{\"proc\":%u", p == 0 ? "" : ",\n", p);
+    w.lit(p == 0 ? "{\"proc\":" : ",\n{\"proc\":").num(p);
     for (std::size_t c = 0; c < kNumStallCats; ++c) {
-      appendf(out, ",\"%s\":%" PRIu64,
-              stall_cat_name(static_cast<StallCat>(c)), a.cycles[c]);
+      w.lit(",\"").lit(stall_cat_name(static_cast<StallCat>(c))).lit("\":");
+      w.num(a.cycles[c]);
       totals.cycles[c] += a.cycles[c];
     }
-    appendf(out, ",\"total\":%" PRIu64 "}", a.total());
+    w.lit(",\"total\":").num(a.total()).lit("}");
   }
-  out += "\n],\n\"stall_totals\":{";
+  w.lit("\n],\n\"stall_totals\":{");
   for (std::size_t c = 0; c < kNumStallCats; ++c) {
-    appendf(out, "%s\"%s\":%" PRIu64, c == 0 ? "" : ",",
-            stall_cat_name(static_cast<StallCat>(c)), totals.cycles[c]);
+    w.lit(c == 0 ? "\"" : ",\"").lit(stall_cat_name(static_cast<StallCat>(c)));
+    w.lit("\":").num(totals.cycles[c]);
   }
-  appendf(out, ",\"total\":%" PRIu64 "},\n", totals.total());
+  w.lit(",\"total\":").num(totals.total()).lit("},\n");
 
-  out += "\"locks\":[\n";
+  w.lit("\"locks\":[\n");
   bool first = true;
   for (const auto& [line, lm] : m.locks()) {
-    appendf(out, "%s{\"line\":%u,\"acquisitions\":%" PRIu64
-                 ",\"transfers\":%" PRIu64 ",\"waiters_at_acquire\":",
-            first ? "" : ",\n", line, lm.acquisitions, lm.transfers);
-    append_histogram_json(out, lm.waiters_at_acquire);
-    out += ",\"hold_cycles\":";
-    append_histogram_json(out, lm.hold_cycles);
-    out += ",\"handoff_cycles\":";
-    append_histogram_json(out, lm.handoff_cycles);
-    out += "}";
+    w.lit(first ? "{\"line\":" : ",\n{\"line\":").num(line);
+    w.lit(",\"acquisitions\":").num(lm.acquisitions);
+    w.lit(",\"transfers\":").num(lm.transfers);
+    w.lit(",\"waiters_at_acquire\":");
+    append_histogram_json(w, lm.waiters_at_acquire);
+    w.lit(",\"hold_cycles\":");
+    append_histogram_json(w, lm.hold_cycles);
+    w.lit(",\"handoff_cycles\":");
+    append_histogram_json(w, lm.handoff_cycles);
+    w.lit("}");
     first = false;
   }
-  out += "\n],\n";
+  w.lit("\n],\n");
 
   const BusWindowGauge& bus = m.bus();
-  appendf(out, "\"bus\":{\"window_cycles\":%u,\"total_busy\":%" PRIu64
-               ",\"busy_per_window\":[",
-          bus.window_cycles(), bus.total_busy());
+  w.lit("\"bus\":{\"window_cycles\":").num(bus.window_cycles());
+  w.lit(",\"total_busy\":").num(bus.total_busy()).lit(",\"busy_per_window\":[");
   for (std::size_t i = 0; i < bus.windows().size(); ++i) {
-    appendf(out, "%s%" PRIu64, i == 0 ? "" : ",", bus.windows()[i]);
+    if (i > 0) w.lit(",");
+    w.num(bus.windows()[i]);
   }
-  out += "]},\n\"counters\":{";
+  w.lit("]},\n\"counters\":{");
   first = true;
   for (const auto& [name, value] : m.counters()) {
-    appendf(out, "%s\"%s\":%" PRIu64, first ? "" : ",",
-            json_escape(name).c_str(), value);
+    w.lit(first ? "\"" : ",\"");
+    json_escape(w, name);
+    w.lit("\":").num(value);
     first = false;
   }
-  out += "}\n}\n";
-  return out;
+  w.lit("}\n}\n");
+  return std::string(w.view());
 }
 
 std::string metrics_to_csv(const MetricsRegistry& m, const MetricsMeta& meta) {
-  std::string out;
-  out.reserve(4096);
-  out += "record,field,value\n";
-  appendf(out, "meta,program,%s\n", csv_escape(meta.program).c_str());
-  appendf(out, "meta,scheme,%s\n", csv_escape(meta.scheme).c_str());
-  appendf(out, "meta,consistency,%s\n", csv_escape(meta.consistency).c_str());
-  appendf(out, "meta,num_procs,%u\n", meta.num_procs);
-  appendf(out, "meta,run_time,%" PRIu64 "\n", meta.run_time);
+  JsonOut w;
+  w.lit("record,field,value\n");
+  w.lit("meta,program,");
+  csv_escape(w, meta.program);
+  w.lit("\nmeta,scheme,");
+  csv_escape(w, meta.scheme);
+  w.lit("\nmeta,consistency,");
+  csv_escape(w, meta.consistency);
+  w.lit("\nmeta,num_procs,").num(meta.num_procs);
+  w.lit("\nmeta,run_time,").num(meta.run_time).lit("\n");
 
   ProcAttribution totals;
   for (std::uint32_t p = 0; p < m.num_procs(); ++p) {
     const ProcAttribution& a = m.proc(p).attr;
     for (std::size_t c = 0; c < kNumStallCats; ++c) {
-      appendf(out, "stall.proc%u,%s,%" PRIu64 "\n", p,
-              stall_cat_name(static_cast<StallCat>(c)), a.cycles[c]);
+      w.lit("stall.proc").num(p).lit(",");
+      w.lit(stall_cat_name(static_cast<StallCat>(c))).lit(",");
+      w.num(a.cycles[c]).lit("\n");
       totals.cycles[c] += a.cycles[c];
     }
-    appendf(out, "stall.proc%u,total,%" PRIu64 "\n", p, a.total());
+    w.lit("stall.proc").num(p).lit(",total,").num(a.total()).lit("\n");
   }
   for (std::size_t c = 0; c < kNumStallCats; ++c) {
-    appendf(out, "stall.total,%s,%" PRIu64 "\n",
-            stall_cat_name(static_cast<StallCat>(c)), totals.cycles[c]);
+    w.lit("stall.total,").lit(stall_cat_name(static_cast<StallCat>(c)));
+    w.lit(",").num(totals.cycles[c]).lit("\n");
   }
-  appendf(out, "stall.total,total,%" PRIu64 "\n", totals.total());
+  w.lit("stall.total,total,").num(totals.total()).lit("\n");
 
   for (const auto& [line, lm] : m.locks()) {
-    char record[32];
-    std::snprintf(record, sizeof record, "lock.0x%08x", line);
-    appendf(out, "%s,acquisitions,%" PRIu64 "\n", record, lm.acquisitions);
-    appendf(out, "%s,transfers,%" PRIu64 "\n", record, lm.transfers);
-    append_histogram_csv(out, record, "waiters_at_acquire",
-                         lm.waiters_at_acquire);
-    append_histogram_csv(out, record, "hold_cycles", lm.hold_cycles);
-    append_histogram_csv(out, record, "handoff_cycles", lm.handoff_cycles);
+    w.lit("lock.").hex32(line).lit(",acquisitions,").num(lm.acquisitions);
+    w.lit("\nlock.").hex32(line).lit(",transfers,").num(lm.transfers);
+    w.lit("\n");
+    append_histogram_csv(w, line, "waiters_at_acquire", lm.waiters_at_acquire);
+    append_histogram_csv(w, line, "hold_cycles", lm.hold_cycles);
+    append_histogram_csv(w, line, "handoff_cycles", lm.handoff_cycles);
   }
 
   const BusWindowGauge& bus = m.bus();
-  appendf(out, "bus,window_cycles,%u\n", bus.window_cycles());
-  appendf(out, "bus,total_busy,%" PRIu64 "\n", bus.total_busy());
+  w.lit("bus,window_cycles,").num(bus.window_cycles()).lit("\n");
+  w.lit("bus,total_busy,").num(bus.total_busy()).lit("\n");
   for (std::size_t i = 0; i < bus.windows().size(); ++i) {
-    appendf(out, "bus,window%zu,%" PRIu64 "\n", i, bus.windows()[i]);
+    w.lit("bus,window").num(i).lit(",").num(bus.windows()[i]).lit("\n");
   }
   for (const auto& [name, value] : m.counters()) {
-    appendf(out, "counter,%s,%" PRIu64 "\n", csv_escape(name).c_str(), value);
+    w.lit("counter,");
+    csv_escape(w, name);
+    w.lit(",").num(value).lit("\n");
   }
-  return out;
+  return std::string(w.view());
 }
 
 std::string render_metrics(const MetricsRegistry& m, const MetricsMeta& meta,

@@ -17,14 +17,15 @@ namespace syncpat::util {
 template <typename T>
 class RingBuffer {
  public:
-  explicit RingBuffer(std::size_t capacity) : slots_(capacity) {
+  explicit RingBuffer(std::size_t capacity)
+      : slots_(capacity), capacity_(capacity) {
     SYNCPAT_ASSERT(capacity > 0);
   }
 
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] bool full() const { return size_ == slots_.size(); }
+  [[nodiscard]] bool full() const { return size_ == capacity_; }
 
   /// Append at the tail.  Precondition: !full().
   void push_back(T value) {
@@ -37,7 +38,7 @@ class RingBuffer {
   /// Precondition: !full().
   void push_front(T value) {
     SYNCPAT_ASSERT(!full());
-    head_ = (head_ + slots_.size() - 1) % slots_.size();
+    head_ = (head_ == 0 ? capacity_ : head_) - 1;
     slots_[head_] = std::move(value);
     ++size_;
   }
@@ -88,11 +89,16 @@ class RingBuffer {
   }
 
  private:
+  /// Slot of the element `offset` places from the head.  Both head_ and
+  /// every offset passed here are below capacity, so one conditional
+  /// subtract wraps the sum (no divide on the per-access path).
   [[nodiscard]] std::size_t index(std::size_t offset) const {
-    return (head_ + offset) % slots_.size();
+    const std::size_t i = head_ + offset;
+    return i >= capacity_ ? i - capacity_ : i;
   }
 
   std::vector<T> slots_;
+  std::size_t capacity_;  // slots_.size(), kept so no access recomputes it
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

@@ -288,6 +288,34 @@ TEST(MetricsDisabled, SimulatorHoldsNoRegistry) {
   EXPECT_EQ(sim.take_metrics(), nullptr);
 }
 
+// Labels are carried through whole, however long: JSON escapes quotes and
+// backslashes and drops control characters; CSV scrubs its separators.
+TEST(MetricsExport, LongAndSpecialLabelsStayWellFormed) {
+  const workload::BenchmarkProfile scaled =
+      profile_by_name("Qsort").scaled(256);
+  trace::ProgramTrace program = workload::make_program_trace(scaled);
+  core::MachineConfig cfg = machine();
+  cfg.num_procs = scaled.num_procs;
+  cfg.metrics.enabled = true;
+  core::Simulator sim(cfg, program);
+  const core::SimulationResult r = sim.run();
+
+  const std::string tail(290, 'q');
+  const obs::MetricsMeta meta{"a\"b\\c,d\ne" + tail, r.scheme, r.consistency,
+                              r.num_procs, r.run_time};
+  const std::string json = obs::metrics_to_json(*sim.metrics(), meta);
+  JsonChecker checker(json);
+  EXPECT_TRUE(checker.valid());
+  EXPECT_NE(json.find("\"program\":\"a\\\"b\\\\c,de" + tail + "\","),
+            std::string::npos);
+
+  const std::string csv = obs::metrics_to_csv(*sim.metrics(), meta);
+  EXPECT_NE(csv.find("\nmeta,program,a\"b\\c d e" + tail + "\n"),
+            std::string::npos);
+  EXPECT_NE(csv.find("\nmeta,num_procs," + std::to_string(r.num_procs) + "\n"),
+            std::string::npos);
+}
+
 TEST(MetricsParse, FormatFollowsExtensionStrictly) {
   EXPECT_EQ(obs::metrics_format_from_path("out.json"),
             obs::MetricsFormat::kJson);

@@ -1,15 +1,20 @@
 // Tests for the cycle-stamped event-tracing subsystem (src/obs/): recorder
 // staging/draining, category parsing, Chrome trace-event JSON validity, the
 // hand-off == Transfers accounting contract, byte-identical results with
-// tracing off vs on, identical traces across engine job counts, and bulk
-// idle spans from the fast-forward engine.
+// tracing off vs on, identical traces across engine job counts, bulk idle
+// spans from the fast-forward engine, well-formed exports under long labels,
+// and (ObsGolden) every exported byte pinned by digest.
 //
-// Suite names all start with "Trace" so `--gtest_filter='Trace*'` (the TSan
-// recipe in EXPERIMENTS.md) covers the whole layer.
+// The threaded tests' suite names start with "Trace" so
+// `--gtest_filter='Trace*'` (the TSan recipe in EXPERIMENTS.md) covers them;
+// ObsGolden is single-threaded.
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +26,7 @@
 #include "obs/event_recorder.hpp"
 #include "obs/lock_timeline.hpp"
 #include "report/lock_timeline.hpp"
+#include "test_util.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -29,6 +35,7 @@ namespace {
 
 using obs::EventKind;
 using obs::TraceEvent;
+using testutil::JsonChecker;
 
 /// Records every delivered event plus the flush calls.
 class RecordingSink final : public obs::TraceSink {
@@ -89,108 +96,6 @@ TEST(TraceCategories, ParseAndRender) {
             "locks,bus");
   EXPECT_EQ(obs::categories_to_string(obs::category::kAll), "all");
 }
-
-// ---------------------------------------------------------------------------
-// Minimal JSON syntax checker — enough to prove the exporter's output is
-// well-formed (Perfetto rejects anything a standard parser would).
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : s_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c == '\\') {
-        pos_ += 2;
-        continue;
-      }
-      if (c == '"') { ++pos_; return true; }
-      ++pos_;
-    }
-    return false;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool literal(const char* word) {
-    const std::string w(word);
-    if (s_.compare(pos_, w.size(), w) != 0) return false;
-    pos_ += w.size();
-    return true;
-  }
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 std::size_t count_occurrences(const std::string& text,
                               const std::string& needle) {
@@ -386,6 +291,184 @@ TEST(TraceFastForward, SkippedStretchesEmitBulkIdleSpans) {
     last_cycle = ev.cycle;
   }
   EXPECT_GT(spans, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden exports: every byte of the Chrome-trace document and of both metrics
+// exports is pinned by digest and length, so a change to how the exporters
+// format their records cannot change what they write.  Together the cells
+// emit every EventKind the engines produce.
+
+/// FNV-1a, 64-bit: a fixed, portable digest (std::hash is neither).
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+constexpr std::size_t kNumEventKinds =
+    static_cast<std::size_t>(EventKind::kIdleSpan) + 1;
+
+class KindCountingSink final : public obs::TraceSink {
+ public:
+  void on_event(const TraceEvent& event) override {
+    ++counts[static_cast<std::size_t>(event.kind)];
+  }
+  std::array<std::uint64_t, kNumEventKinds> counts{};
+};
+
+struct GoldenCell {
+  const char* name;
+  std::uint64_t trace_fnv;
+  std::size_t trace_bytes;
+  std::uint64_t metrics_json_fnv;
+  std::size_t metrics_json_bytes;
+  std::uint64_t metrics_csv_fnv;
+  std::size_t metrics_csv_bytes;
+};
+
+struct GoldenExports {
+  std::string trace_json;
+  std::string metrics_json;
+  std::string metrics_csv;
+};
+
+/// One traced, metered run of `profile` with every trace category on.
+GoldenExports golden_run(core::MachineConfig config,
+                         const workload::BenchmarkProfile& profile,
+                         KindCountingSink& kinds) {
+  trace::ProgramTrace program = workload::make_program_trace(profile);
+  config.num_procs = profile.num_procs;
+  config.trace.enabled = true;
+  config.trace.categories = obs::category::kAll;
+  config.metrics.enabled = true;
+  core::Simulator sim(config, program);
+  obs::ChromeTraceSink chrome(profile.name, profile.num_procs);
+  sim.recorder()->add_sink(&chrome);
+  sim.recorder()->add_sink(&kinds);
+  const core::SimulationResult r = sim.run();
+  const obs::MetricsMeta meta{r.program, r.scheme, r.consistency, r.num_procs,
+                              r.run_time};
+  return {chrome.finish(), obs::metrics_to_json(*sim.metrics(), meta),
+          obs::metrics_to_csv(*sim.metrics(), meta)};
+}
+
+class ObsGolden : public ::testing::Test {
+ protected:
+  // The cells pick their engine and fast-forward mode themselves.
+  void SetUp() override {
+    unsetenv("SYNCPAT_ENGINE");
+    unsetenv("SYNCPAT_FAST_FORWARD");
+    unsetenv("SYNCPAT_METRICS");
+  }
+
+  static void expect_golden(const GoldenCell& want, const GoldenExports& got) {
+    JsonChecker trace_checker(got.trace_json);
+    EXPECT_TRUE(trace_checker.valid()) << want.name;
+    JsonChecker metrics_checker(got.metrics_json);
+    EXPECT_TRUE(metrics_checker.valid()) << want.name;
+    EXPECT_EQ(got.trace_json.size(), want.trace_bytes) << want.name;
+    EXPECT_EQ(fnv1a64(got.trace_json), want.trace_fnv) << want.name;
+    EXPECT_EQ(got.metrics_json.size(), want.metrics_json_bytes) << want.name;
+    EXPECT_EQ(fnv1a64(got.metrics_json), want.metrics_json_fnv) << want.name;
+    EXPECT_EQ(got.metrics_csv.size(), want.metrics_csv_bytes) << want.name;
+    EXPECT_EQ(fnv1a64(got.metrics_csv), want.metrics_csv_fnv) << want.name;
+    if (std::getenv("SYNCPAT_PRINT_GOLDEN") != nullptr) {
+      std::printf("{\"%s\", 0x%016llxull, %zu, 0x%016llxull, %zu, "
+                  "0x%016llxull, %zu},\n",
+                  want.name,
+                  static_cast<unsigned long long>(fnv1a64(got.trace_json)),
+                  got.trace_json.size(),
+                  static_cast<unsigned long long>(fnv1a64(got.metrics_json)),
+                  got.metrics_json.size(),
+                  static_cast<unsigned long long>(fnv1a64(got.metrics_csv)),
+                  got.metrics_csv.size());
+    }
+  }
+};
+
+// Digests taken from the snprintf-based exporters the JSON writer replaced.
+// SYNCPAT_PRINT_GOLDEN=1 prints the current values in table form.
+TEST_F(ObsGolden, ExportsAreByteIdenticalAndCoverEveryEventKind) {
+  constexpr GoldenCell kCells[] = {
+      {"qsort-des", 0x219510a859d627c7ull, 9956170, 0x83164231e5f067b0ull,
+       3656, 0x0f69bb62cdf64499ull, 5602},
+      {"pdsa-ttas-barriers", 0xc7d5c39be0e58c24ull, 8679298,
+       0x737bf7385de0ffcdull, 4644, 0x3cd38928a4c1bc59ull, 7901},
+      {"grav-ttas-weak", 0xa6d43b82c626ab6cull, 9164075, 0x106d9586e25b4c2full,
+       4694, 0xcad0f18dbb836ea2ull, 8617},
+      {"grav-coarse-tick-ff", 0x154a64e466a842ccull, 6112899,
+       0x6f8424a1f74c93eaull, 5860, 0xa8b471fd676d2f95ull, 15419},
+  };
+  KindCountingSink kinds;
+
+  // Qsort x128 on DES: the dense lock/bus/coherence mix.
+  core::MachineConfig des;
+  des.lock_scheme = sync::SchemeKind::kQueuing;
+  des.engine = core::EngineKind::kDes;
+  expect_golden(kCells[0],
+                golden_run(des, workload::qsort_profile().scaled(128), kinds));
+
+  // Barriers, and T&T&S spinners whose cached lock line gets invalidated.
+  workload::BenchmarkProfile barriers = workload::pdsa_profile().scaled(128);
+  barriers.locking.barriers_per_proc = 4;
+  core::MachineConfig ttas = des;
+  ttas.lock_scheme = sync::SchemeKind::kTtas;
+  expect_golden(kCells[1], golden_run(ttas, barriers, kinds));
+
+  // Weak ordering: the interface's read-bypass path.
+  core::MachineConfig weak = ttas;
+  weak.consistency = bus::ConsistencyModel::kWeak;
+  expect_golden(kCells[2],
+                golden_run(weak, workload::grav_profile().scaled(128), kinds));
+
+  // The tick engine with fast-forward: the only source of bulk idle spans.
+  workload::BenchmarkProfile coarse = workload::grav_profile();
+  coarse.work_cycles_per_ref = 400;
+  coarse.name = "Grav-coarse";
+  core::MachineConfig ff = des;
+  ff.engine = core::EngineKind::kTick;
+  ff.fast_forward = true;
+  expect_golden(kCells[3], golden_run(ff, coarse.scaled(256), kinds));
+
+  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+    EXPECT_GT(kinds.counts[k], 0u)
+        << "no cell emits " << obs::event_kind_name(static_cast<EventKind>(k));
+  }
+}
+
+// A label longer than any fixed formatting buffer must still yield valid
+// JSON in both documents, carried through whole.
+TEST(TraceChrome, LongLabelKeepsBothExportsWellFormed) {
+  const std::string label = "Grav/" + std::string(295, 'x');
+  ASSERT_EQ(label.size(), 300u);
+  const workload::BenchmarkProfile profile =
+      workload::grav_profile().scaled(256);
+  trace::ProgramTrace program = workload::make_program_trace(profile);
+  core::MachineConfig config;
+  config.num_procs = profile.num_procs;
+  config.trace.enabled = true;
+  config.metrics.enabled = true;
+  core::Simulator sim(config, program);
+  obs::ChromeTraceSink chrome(label, profile.num_procs);
+  sim.recorder()->add_sink(&chrome);
+  const core::SimulationResult r = sim.run();
+
+  const std::string trace_json = chrome.finish();
+  JsonChecker trace_checker(trace_json);
+  EXPECT_TRUE(trace_checker.valid());
+  EXPECT_EQ(count_occurrences(trace_json, label + " processors"), 1u);
+
+  const obs::MetricsMeta meta{label, r.scheme, r.consistency, r.num_procs,
+                              r.run_time};
+  const std::string metrics_json = obs::metrics_to_json(*sim.metrics(), meta);
+  JsonChecker metrics_checker(metrics_json);
+  EXPECT_TRUE(metrics_checker.valid());
+  EXPECT_EQ(count_occurrences(metrics_json, "\"program\":\"" + label + "\""),
+            1u);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Shared helpers for the syncpat test suite.
 #pragma once
 
+#include <cctype>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -69,5 +72,106 @@ inline core::MachineConfig machine(
 inline std::uint32_t shared_line(std::uint32_t i) {
   return trace::AddressMap::shared_addr(i * 64);
 }
+
+/// Minimal JSON syntax checker — enough to prove an exporter's output is
+/// well-formed (Perfetto rejects anything a standard parser would).
+class JsonChecker {
+ public:
+  explicit JsonChecker(const std::string& text) : s_(text) {}
+
+  bool valid() {
+    skip_ws();
+    if (!value()) return false;
+    skip_ws();
+    return pos_ == s_.size();
+  }
+
+ private:
+  bool value() {
+    if (pos_ >= s_.size()) return false;
+    switch (s_[pos_]) {
+      case '{': return object();
+      case '[': return array();
+      case '"': return string();
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      default: return number();
+    }
+  }
+  bool object() {
+    ++pos_;  // '{'
+    skip_ws();
+    if (peek() == '}') { ++pos_; return true; }
+    while (true) {
+      skip_ws();
+      if (!string()) return false;
+      skip_ws();
+      if (peek() != ':') return false;
+      ++pos_;
+      skip_ws();
+      if (!value()) return false;
+      skip_ws();
+      if (peek() == ',') { ++pos_; continue; }
+      if (peek() == '}') { ++pos_; return true; }
+      return false;
+    }
+  }
+  bool array() {
+    ++pos_;  // '['
+    skip_ws();
+    if (peek() == ']') { ++pos_; return true; }
+    while (true) {
+      skip_ws();
+      if (!value()) return false;
+      skip_ws();
+      if (peek() == ',') { ++pos_; continue; }
+      if (peek() == ']') { ++pos_; return true; }
+      return false;
+    }
+  }
+  bool string() {
+    if (peek() != '"') return false;
+    ++pos_;
+    while (pos_ < s_.size()) {
+      const char c = s_[pos_];
+      if (c == '\\') {
+        pos_ += 2;
+        continue;
+      }
+      if (c == '"') { ++pos_; return true; }
+      ++pos_;
+    }
+    return false;
+  }
+  bool number() {
+    const std::size_t start = pos_;
+    if (peek() == '-') ++pos_;
+    while (pos_ < s_.size() &&
+           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
+            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
+            s_[pos_] == '+' || s_[pos_] == '-')) {
+      ++pos_;
+    }
+    return pos_ > start;
+  }
+  bool literal(const char* word) {
+    const std::string w(word);
+    if (s_.compare(pos_, w.size(), w) != 0) return false;
+    pos_ += w.size();
+    return true;
+  }
+  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
+  void skip_ws() {
+    while (pos_ < s_.size() &&
+           (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' ||
+            s_[pos_] == '\r')) {
+      ++pos_;
+    }
+  }
+
+  const std::string& s_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace syncpat::testutil
